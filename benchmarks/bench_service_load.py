@@ -1,7 +1,7 @@
 """Service load: batched CSR routing vs per-call, plus open-loop serving.
 
 Not a paper experiment — this bench anchors the batch-serving redesign:
-one ``route_batch()`` over a shared-memory CSR shard must sustain at
+one ``route_batch()`` over a memmapped CSR shard must sustain at
 least **10x** the per-call ``route()`` request rate at batch >= 1024 on
 the Q_12 multipath cycle, while staying *field-identical* to the
 per-call answers.  The second half drives the batching front-end with

@@ -860,7 +860,7 @@ def _cmd_serve(args) -> int:
     spec = _spec_from_args(args)
     shard = service.shard_for(spec)  # warm build + publish before the clock
     print(
-        f"serving {spec.describe()} from shard {shard.info.name or '(local)'} "
+        f"serving {spec.describe()} from store file {shard.info.path} "
         f"({shard.info.num_paths} path(s), {shard.info.nbytes / 1e6:.1f} MB)"
     )
     report = open_loop_load(

@@ -76,9 +76,10 @@ def theorem2_claim(n: int, prefer_width: bool = False) -> Dict[str, int]:
 def embed_cycle_load1(n: int, labeling: str = "moment") -> MultiPathEmbedding:
     """Theorem 1: embed the ``2**n``-node directed cycle in ``Q_n`` (load 1).
 
-    Returns a verified :class:`MultiPathEmbedding` whose ``info`` attribute
-    records the construction parameters, achieved width (``a`` detour paths
-    of length 3 plus the direct edge) and the scheduled cost.
+    Returns an unverified :class:`MultiPathEmbedding` (callers verify, as
+    the registry does once per build) whose ``info`` attribute records the
+    construction parameters, achieved width (``a`` detour paths of length 3
+    plus the direct edge) and the scheduled cost.
 
     ``labeling`` selects the special-cycle assignment: ``"moment"`` (the
     paper's, giving edge-disjoint projections and cost 3) or ``"constant"``
@@ -150,7 +151,6 @@ def embed_cycle_load1(n: int, labeling: str = "moment") -> MultiPathEmbedding:
         load_allowed=1,
         step_of=step_of,
     )
-    emb.verify()
     emb.info = {
         "n": n,
         "k": k,
@@ -185,6 +185,8 @@ def embed_cycle_load2(
     ("if ... a different edge-disjoint cycle were used twice in each batch
     then the 2k(2k+1)-packet cost would be 3(2k)+1 and not 4(2k)"); see
     :func:`theorem2_batched_schedule`.
+
+    The result is unverified; callers verify.
     """
     if n < 4:
         raise ValueError(f"Theorem 2 construction needs n >= 4, got {n}")
@@ -269,7 +271,6 @@ def embed_cycle_load2(
         load_allowed=2,
         step_of=step_of,
     )
-    emb.verify()
     emb.info = {
         "n": n,
         "p": p,

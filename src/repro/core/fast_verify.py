@@ -582,8 +582,8 @@ class PathCSR:
     per-guest-edge *bundles* so a routing request is two offset lookups plus
     one gather — no dict-of-tuples walking, no per-path Python.  The arrays
     obey the pathcode dtype contract (``CSR_NODE_DTYPE`` /
-    ``CSR_OFFSET_DTYPE`` / ``CSR_FLAG_DTYPE``), which is what the
-    shared-memory shard layer checks before mapping a segment zero-copy.
+    ``CSR_OFFSET_DTYPE`` / ``CSR_FLAG_DTYPE``), which is what the artifact
+    store checks before mapping a file zero-copy.
 
     ``path_reversed[p]`` says path ``p`` is stored against its bundle's
     canonical orientation (it came from a :class:`MultiCopyEmbedding` copy

@@ -37,9 +37,8 @@ def shortest_path_embedding(
     nodes round-robin in iteration order (load ``ceil(|V|/|W|)``).  When
     that default placement must overload the host (more guest vertices than
     host nodes), a ``UserWarning`` is emitted instead of silently piling
-    vertices up, and the measured load is recorded in the verification
-    report attached to the returned embedding (``emb.verification``).
-    The result is verified before being returned.
+    vertices up; ``emb.verify(strict=False)`` reports the measured load.
+    The result is unverified; callers verify.
     """
     overloaded = placement is None and guest.num_vertices > host.num_nodes
     if placement is None:
@@ -60,11 +59,9 @@ def shortest_path_embedding(
     for (u, v) in guest.edges():
         hu, hv = placement[u], placement[v]
         edge_paths[(u, v)] = tuple(dimension_order_path(host.n, hu, hv))
-    emb = Embedding(
+    return Embedding(
         host, guest, dict(placement), edge_paths, name="shortest-path"
     )
-    emb.verification = emb.verify(strict=False).raise_if_failed()
-    return emb
 
 
 def widen_embedding(emb: Embedding, width: int) -> MultiPathEmbedding:
@@ -73,7 +70,8 @@ def widen_embedding(emb: Embedding, width: int) -> MultiPathEmbedding:
     Paths come from the classical rotation construction between the two
     images (length at most ``distance + 2``); co-located endpoints keep a
     single trivial path.  Requires ``width <= host.n`` and a one-to-one
-    ``emb`` is *not* required — only the paths are rebuilt.
+    ``emb`` is *not* required — only the paths are rebuilt.  The result is
+    unverified; callers verify.
     """
     host = emb.host
     if not 1 <= width <= host.n:
@@ -90,7 +88,7 @@ def widen_embedding(emb: Embedding, width: int) -> MultiPathEmbedding:
     from collections import Counter
 
     load = max(Counter(emb.vertex_map.values()).values())
-    wide = MultiPathEmbedding(
+    return MultiPathEmbedding(
         host,
         emb.guest,
         dict(emb.vertex_map),
@@ -98,5 +96,3 @@ def widen_embedding(emb: Embedding, width: int) -> MultiPathEmbedding:
         name=f"widened-{emb.name or 'embedding'}",
         load_allowed=load,
     )
-    wide.verification = wide.verify(strict=False).raise_if_failed()
-    return wide

@@ -88,7 +88,7 @@ ATTR_INFO: Dict[str, Tuple[str, Optional[str]]] = {
 
 # -- seed table: mapped-store header fields (string subscripts) ----------------
 # header["data_start"], spec["offset"], ... are byte offsets by contract
-# (service/store.py and service/shards.py share the layout vocabulary).
+# (service/store.py is the one writer and reader of that layout).
 
 HEADER_FIELDS: FrozenSet[str] = frozenset(
     {"data_start", "payload", "offset", "blob_offset", "nbytes"}

@@ -88,7 +88,7 @@ class LintConfig:
     race_modules: Tuple[str, ...] = (
         "service/registry.py",
         "service/engine.py",
-        "service/shards.py",
+        "service/shards.py",  # ShardManager's lock-guarded map of published views
         "service/frontend.py",
         "service/store.py",
     )

@@ -9,6 +9,11 @@ just the points the hand-written tests pick.  Each oracle registers with
 of a non-strict :meth:`verify` report against the claim functions
 (``theorem1_claim`` etc.) the constructions themselves export.
 
+One oracle reads nothing off ``verify()``: the dimension-cut referee
+(:func:`cut_floor_oracle`) derives a congestion floor from the exported
+CSR endpoints alone, so a verifier that under-reports congestion is caught
+even when the fast and reference verifiers share the bug.
+
 Importing this module performs the registrations (idempotently); the
 fuzzer imports it, so ``repro qa fuzz`` always runs with the paper's
 oracles armed.
@@ -18,9 +23,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator
 
+import numpy as np
+
 from repro.core.verification import InvariantCheck, register_oracle
 
-__all__ = ["claim_check"]
+__all__ = ["EMBEDDING_KINDS", "claim_check", "cut_floor", "cut_floor_oracle"]
 
 
 def claim_check(name: str, actual: Any, expected: Any, op: str = "==") -> InvariantCheck:
@@ -252,6 +259,73 @@ def large_fft_oracle(emb: Any, params: Dict[str, Any]) -> Iterator[InvariantChec
     yield claim_check("cor3fft:load", m["load"], params["n"] + 1)
     yield claim_check("cor3fft:dilation", m["dilation"], 1)
     yield claim_check("cor3fft:congestion", m["congestion"], 1)
+
+
+# -- dimension-cut referee ----------------------------------------------------
+#
+# A path whose endpoints differ in bit d crosses dimension d in that
+# direction at least once, and each dimension has 2^(n-1) directed links
+# per direction, so some link carries at least ceil(count / 2^(n-1)) paths
+# — the cut argument of arXiv:1807.06787, next to Lemma 3 in core/bounds.py.
+# Links are directed, exactly as verify() counts them.
+
+# every fuzzed construction kind that builds an embedding
+EMBEDDING_KINDS = (
+    "cycle", "cycle2", "grid", "ccc", "tree", "large-cycle", "graycode",
+    "cycle-multicopy", "butterfly-multicopy", "butterfly-multipath",
+    "grid-multicopy", "cbt-multicopy", "arbitrary-tree", "cross-product",
+    "ccc-single", "large-ccc", "large-butterfly", "large-fft",
+)
+
+
+def cut_floor(csr: Any) -> int:
+    """Dimension-cut congestion floor of the paths in a ``PathCSR``."""
+    offsets = np.asarray(csr.path_offsets, dtype=np.int64)
+    if csr.host_n == 0 or offsets.size < 2:
+        return 0
+    nodes = np.asarray(csr.nodes, dtype=np.int64)
+    src = nodes[offsets[:-1]]
+    diff = src ^ nodes[offsets[1:] - 1]
+    links = 1 << (csr.host_n - 1)
+    floor = 0
+    for d in range(csr.host_n):
+        crosses = ((diff >> d) & 1).astype(bool)
+        up = int(np.count_nonzero(crosses & (((src >> d) & 1) == 0)))
+        down = int(np.count_nonzero(crosses)) - up
+        floor = max(floor, -(-max(up, down) // links))
+    return floor
+
+
+def _floor_check(name: str, reported: int, floor: int) -> InvariantCheck:
+    return InvariantCheck(
+        name, reported >= floor, f"reported congestion {reported} vs cut floor {floor}"
+    )
+
+
+def cut_floor_oracle(emb: Any, params: Dict[str, Any]) -> Iterator[InvariantCheck]:
+    """Reported congestion must reach the dimension-cut floor (per copy)."""
+    from repro.core.embedding import MultiCopyEmbedding
+    from repro.core.fast_verify import embedding_csr
+
+    if isinstance(emb, MultiCopyEmbedding):
+        for i, copy in enumerate(emb.copies):
+            report = copy.verify(max_load=emb.copy_load_allowed, strict=False)
+            yield _floor_check(
+                f"cut-floor:copy{i}",
+                report.metrics["congestion"],
+                cut_floor(embedding_csr(copy)),
+            )
+        yield _floor_check(
+            "cut-floor:edge-congestion",
+            _metrics(emb)["edge_congestion"],
+            cut_floor(embedding_csr(emb)),
+        )
+        return
+    yield _floor_check("cut-floor", _metrics(emb)["congestion"], cut_floor(embedding_csr(emb)))
+
+
+for _kind in EMBEDDING_KINDS:
+    register_oracle(_kind)(cut_floor_oracle)
 
 
 # -- scenario oracles -------------------------------------------------------

@@ -3,10 +3,11 @@
 The serving layer over :mod:`repro.core` / :mod:`repro.routing` /
 :mod:`repro.fault`: constructions are deterministic and dominate runtime,
 so the service memoizes them (memory LRU over a checksummed disk tier),
-builds cache misses concurrently in worker processes, publishes each
-embedding's flat CSR path arrays as a checksummed shared-memory *shard*,
-and answers routing requests — batched, plain and fault-tolerant — by
-numpy gathers against those shards.
+builds cache misses concurrently in worker processes, writes each
+embedding's flat CSR path arrays into one checksummed store file, serves
+that file memmapped as the embedding's *shard*, and answers routing
+requests — batched, plain and fault-tolerant — by numpy gathers against
+those shards.
 
 Quickstart::
 
@@ -27,7 +28,7 @@ Modules:
 * :mod:`repro.service.registry` — content-addressed cache tiers;
 * :mod:`repro.service.store`    — binary memmapped artifact files;
 * :mod:`repro.service.engine`   — concurrent batch construction;
-* :mod:`repro.service.shards`   — shared-memory CSR shards + manager;
+* :mod:`repro.service.shards`   — published store-file shards + manager;
 * :mod:`repro.service.frontend` — batching ``serve()`` loop + load harness;
 * :mod:`repro.service.api`      — the :class:`RoutingService` facade;
 * :mod:`repro.service.metrics`  — deprecated shim; metrics now live on
@@ -47,12 +48,7 @@ from repro.service.registry import (
     default_cache_dir,
     encode_embedding,
 )
-from repro.service.shards import (
-    ShardIntegrityError,
-    ShardManager,
-    ShardView,
-    attach_shard,
-)
+from repro.service.shards import ShardManager, ShardView, attach_shard
 from repro.service.store import (
     StoreIntegrityError,
     StoreView,
@@ -82,7 +78,6 @@ __all__ = [
     "RouteResponse",
     "RoutingService",
     "ServiceMetrics",
-    "ShardIntegrityError",
     "ShardManager",
     "ShardView",
     "StoreIntegrityError",

@@ -6,9 +6,9 @@ One object answers the service questions:
   through the two-tier registry;
 * :meth:`RoutingService.route_batch` — **the** routing entry point since
   the batch API redesign: thousands of :class:`RouteRequest`\\ s resolved
-  per call by numpy gathers against the embedding's shared-memory CSR
-  shard (see :mod:`repro.service.shards`), returned as a lazy
-  :class:`BatchRouteResult`;
+  per call by numpy gathers against the CSR shard memmapped from the
+  embedding's store file (see :mod:`repro.service.shards`), returned as a
+  lazy :class:`BatchRouteResult`;
 * :meth:`RoutingService.route` / :meth:`RoutingService.route_fault_tolerant`
   — thin single-item wrappers over the batch path; the latter adds
   IDA-dispersed delivery that fails over to the surviving path subset
@@ -31,7 +31,6 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro._compat import warn_deprecated
 from repro.core.embedding import MultiCopyEmbedding, MultiPathEmbedding
-from repro.core.fast_verify import embedding_csr
 from repro.fault.faults import FaultModel
 from repro.fault.ida import disperse, reconstruct
 from repro.obs.metrics import MetricsRegistry
@@ -165,32 +164,34 @@ class RoutingService:
     def shard_for(self, spec: EmbeddingSpec) -> ShardView:
         """The (published-on-first-use) CSR shard serving ``spec``.
 
-        Resolution order is the cold-start story: an already-published
-        shard, else the registry's memmapped store artifact served
-        straight off the file (O(ms), no embedding object, no
-        shared-memory copy), else build + verify + publish to shared
-        memory.  ``.info.name`` is what worker processes pass to
-        :meth:`repro.service.shards.ShardManager.attach` — a segment
-        name for ``"shm"`` shards, the store path for ``"file"`` ones.
+        Every shard is the registry's store file, memmapped: an already
+        published shard, else the store artifact on disk (O(ms), no
+        embedding object), else :meth:`get_embedding` builds, verifies and
+        writes the store and that file is opened.  A store that cannot be
+        opened right after it was written raises ``RuntimeError``.
+        ``.info.path`` is what worker processes pass to
+        :func:`repro.service.store.open_store`.
         """
         key = spec.cache_key()
         existing = self.shards.get(key)
         if existing is not None:
             self.metrics.incr("shard_hits")
             return existing
+        self.metrics.incr("shard_misses")
         store = self.registry.get_store(spec)
-        if store is not None:
-            self.metrics.incr("shard_misses")
-            return self.shards.publish_mapped(
-                key,
-                store.csr,
-                name=store.info.path,
-                nbytes=store.info.nbytes,
-                sha256=store.info.sha256,
+        if store is None:
+            emb = self.get_embedding(spec)
+            store = self.registry.get_store(spec)
+            if store is None:
+                # served from memory or the legacy JSON tier: write the file
+                self.registry.put(spec, emb)
+                store = self.registry.get_store(spec)
+        if store is None:
+            raise RuntimeError(
+                f"{self.registry.path_for(spec)}: store file could not be "
+                "opened right after it was written"
             )
-        return self.shards.get_or_publish(
-            key, lambda: embedding_csr(self.get_embedding(spec))
-        )
+        return self.shards.publish_mapped(key, store)
 
     # -- routing -------------------------------------------------------------------
 
@@ -306,5 +307,5 @@ class RoutingService:
         return self.registry.stats()
 
     def close(self) -> None:
-        """Unlink the published shards (the registry/engine stay usable)."""
+        """Unpublish the shards (the registry, engine and store files stay)."""
         self.shards.close()

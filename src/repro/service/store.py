@@ -1,15 +1,16 @@
-"""Binary memmapped artifact store — instant-start persistence for CSR shards.
+"""Binary memmapped artifact store — the one form a served CSR shard takes.
 
-The disk analogue of :mod:`repro.service.shards`: one *store file* is one
-verified embedding's full routing answer, laid out exactly like a
-shared-memory shard — ``[magic][header length][JSON header]`` followed by
-the 8-byte-aligned :data:`~repro.hypercube.pathcode.CSR_ARRAYS` bytes — so
+One *store file* is one verified embedding's full routing answer:
+``[magic][header length][header SHA-256][JSON header]`` followed by the
+8-byte-aligned :data:`~repro.hypercube.pathcode.CSR_ARRAYS` bytes, so
 :func:`open_store` hydrates a :class:`~repro.core.fast_verify.PathCSR`
 via ``numpy.memmap`` **zero-copy**: no rebuild, no JSON decode of a
 million paths, no Python dicts.  A Q_20 artifact (hundreds of MB) opens
 in milliseconds; the ~13s build+verify is paid exactly once, at admit.
+Serving processes and their workers all map the same file
+(:mod:`repro.service.shards`).
 
-Two extras distinguish a store file from a shard segment:
+Two extras ride next to the contract arrays:
 
 * **Packed edge lookup.**  Integer-vertex guests (the cycle families)
   additionally serialize their canonical-edge endpoints and the sorted
@@ -17,16 +18,19 @@ Two extras distinguish a store file from a shard segment:
   resolution after open is one ``searchsorted`` over memmapped keys —
   building the dict index over 2^20 edges would alone blow the cold-start
   budget.  Tuple-vertex guests (grid/CCC/tree) keep their edges JSON in
-  the header, exactly as shards do.
+  the header, encoded with :mod:`repro.core.serialize`'s vertex codec.
 * **The embedding blob.**  The exact artifact text that was verified at
   build time rides behind the arrays, so the registry can materialize the
   full embedding object on demand — the fast path never touches it.
 
-Integrity model: the header carries SHA-256 digests of the array payload
-and of the blob, both computed at write time from bytes that passed
-``verify()``.  :func:`open_store` always validates magic, schema, spec
-key, package version, the dtype contract and every array's extent; the
-payload digest is re-hashed eagerly when the payload is small
+Integrity model: three SHA-256 digests, all computed at write time from
+bytes that passed ``verify()``.  The header digest covers every header
+byte — the array table, ``host_n``, the edge mode and edges, the offsets
+— and is always checked, so no edit to the layout can re-point the
+arrays.  :func:`open_store` then validates schema, spec key, package
+version, the dtype contract and every array's extent, and maps any
+malformed header value to :class:`StoreIntegrityError`.  The payload
+digest is re-hashed eagerly when the payload is small
 (``payload_verify="auto"``, bounded by ``EAGER_VERIFY_LIMIT``) — hashing
 hundreds of MB would turn O(ms) opens back into O(s), so huge artifacts
 defer the re-hash to :meth:`StoreView.verify_payload` (run by ``repro
@@ -51,6 +55,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.fast_verify import EdgeLookup, PathCSR, build_edge_lookup
+from repro.core.serialize import _decode_vertex, _encode_vertex
 from repro.hypercube.pathcode import (
     CSR_ARRAYS,
     CSR_FLAG_DTYPE,
@@ -72,10 +77,10 @@ __all__ = [
     "write_store",
 ]
 
-STORE_SCHEMA = 1
+STORE_SCHEMA = 2
 STORE_SUFFIX = ".rpstore"
-_MAGIC = b"RPSTORE1"
-_PREFIX = struct.Struct("<8sQ")  # magic, header length
+_MAGIC = b"RPSTORE2"
+_PREFIX = struct.Struct("<8sQ32s")  # magic, header length, header SHA-256
 
 # ``payload_verify="auto"`` re-hashes the array payload on open only up to
 # this size: a few-MB Q_12 artifact costs microseconds to check, a 378 MB
@@ -140,25 +145,6 @@ class PackedEdges:
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         for u, v in self._uv:
             yield (int(u), int(v))
-
-
-def _encode_edges(edges: Any) -> Any:
-    # recursive guest-edge codec, same shape as the shard header's
-    def enc(v: Any) -> Any:
-        if isinstance(v, tuple):
-            return [enc(x) for x in v]
-        return v
-
-    return [enc(e) for e in edges]
-
-
-def _decode_edges(doc: Any) -> Tuple[Any, ...]:
-    def dec(v: Any) -> Any:
-        if isinstance(v, list):
-            return tuple(dec(x) for x in v)
-        return v
-
-    return tuple(dec(e) for e in doc)
 
 
 def _edge_uv(edges: Any) -> Optional[np.ndarray]:
@@ -249,9 +235,9 @@ def write_store(
         header["lookup_base"] = lookup.base
     else:
         header["edges_mode"] = "json"
-        header["edges"] = _encode_edges(csr.edges)
+        header["edges"] = [_encode_vertex(e) for e in csr.edges]
     # digest/offsets go into the header, so serialize twice: once to size
-    # the reserved region, once for real (the shard layout's trick)
+    # the reserved region, once for real
     head_blob = json.dumps(header, separators=(",", ":")).encode()
     digest_pad = 192  # > ,"sha256":"..","data_start":N,"blob_offset":N
     data_start = csr_aligned(_PREFIX.size + len(head_blob) + digest_pad)
@@ -283,7 +269,9 @@ def write_store(
             if _PREFIX.size + len(head_blob) > data_start:  # pragma: no cover
                 raise AssertionError("store header overran its reserved region")
             fh.seek(0)
-            fh.write(_PREFIX.pack(_MAGIC, len(head_blob)))
+            fh.write(
+                _PREFIX.pack(_MAGIC, len(head_blob), hashlib.sha256(head_blob).digest())
+            )
             fh.write(head_blob)
             fh.flush()
             os.fsync(fh.fileno())
@@ -310,9 +298,9 @@ def write_store(
 def read_store_header(path: Union[str, Path]) -> Dict[str, Any]:
     """Parse just the JSON header of a store file (no payload mapping).
 
-    Cheap enough for listings over hundreds of artifacts; raises
-    :class:`StoreIntegrityError` on a bad magic or header, ``OSError``
-    on filesystem trouble.
+    Cheap enough for listings over hundreds of artifacts; checks the
+    magic and the header digest and raises :class:`StoreIntegrityError`
+    on any mismatch, ``OSError`` on filesystem trouble.
     """
     path = Path(path)
     size = path.stat().st_size
@@ -320,10 +308,12 @@ def read_store_header(path: Union[str, Path]) -> Dict[str, Any]:
         prefix = fh.read(_PREFIX.size)
         if len(prefix) < _PREFIX.size or prefix[:8] != _MAGIC:
             raise StoreIntegrityError(f"{path} is not a repro store file")
-        _, head_len = _PREFIX.unpack(prefix)
+        _, head_len, head_digest = _PREFIX.unpack(prefix)
         if _PREFIX.size + head_len > size:
             raise StoreIntegrityError(f"{path}: truncated header")
         head_blob = fh.read(head_len)
+    if hashlib.sha256(head_blob).digest() != head_digest:
+        raise StoreIntegrityError(f"{path}: header checksum mismatch")
     try:
         header = json.loads(head_blob)
     except ValueError as err:
@@ -420,19 +410,7 @@ def open_store(
     """
     path = Path(path)
     mode = _resolve_verify_mode(payload_verify)
-    size = path.stat().st_size
-    with open(path, "rb") as fh:
-        prefix = fh.read(_PREFIX.size)
-        if len(prefix) < _PREFIX.size or prefix[:8] != _MAGIC:
-            raise StoreIntegrityError(f"{path} is not a repro store file")
-        _, head_len = _PREFIX.unpack(prefix)
-        if _PREFIX.size + head_len > size:
-            raise StoreIntegrityError(f"{path}: truncated header")
-        head_blob = fh.read(head_len)
-    try:
-        header = json.loads(head_blob)
-    except ValueError as err:
-        raise StoreIntegrityError(f"{path}: bad header ({err})") from err
+    header = read_store_header(path)
     if header.get("schema") != STORE_SCHEMA:
         raise StoreIntegrityError(
             f"{path}: schema {header.get('schema')!r} != {STORE_SCHEMA}"
@@ -449,18 +427,33 @@ def open_store(
         and header.get("package_version") != expect_package_version
     ):
         raise StoreIntegrityError(f"{path}: package version mismatch")
-    data_start = int(header.get("data_start", 0))
-    payload = int(header.get("payload", 0))
-    blob_end = int(header.get("blob_offset", 0)) + int(header.get("blob_bytes", 0))
+    try:
+        view = _map_store(path, header)
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as err:
+        # a parseable header holding a value of the wrong shape is as
+        # corrupt as a bad checksum: the caller rebuilds, never crashes
+        raise StoreIntegrityError(
+            f"{path}: malformed header ({type(err).__name__}: {err})"
+        ) from err
+    if mode == "eager" or (mode == "auto" and view.info.nbytes <= EAGER_VERIFY_LIMIT):
+        view.verify_payload()
+    return view
+
+
+def _map_store(path: Path, header: Dict[str, Any]) -> StoreView:
+    """Map the arrays a validated header describes (raises on bad values)."""
+    size = path.stat().st_size
+    data_start = int(header["data_start"])
+    payload = int(header["payload"])
+    blob_end = int(header["blob_offset"]) + int(header["blob_bytes"])
     if data_start + payload > size or blob_end > size:
         raise StoreIntegrityError(f"{path}: truncated payload")
 
     mm = np.memmap(path, dtype=np.uint8, mode="r")
     views: Dict[str, np.ndarray] = {}
-    by_name = {s["name"]: s for s in header.get("arrays", ())}
-    contract = CSR_ARRAYS + (
-        _LOOKUP_ARRAYS if header.get("edges_mode") == "packed" else ()
-    )
+    by_name = {s["name"]: s for s in header["arrays"]}
+    packed = header["edges_mode"] == "packed"
+    contract = CSR_ARRAYS + (_LOOKUP_ARRAYS if packed else ())
     for field_name, dt in contract:
         spec = by_name.get(field_name)
         if spec is None or spec["dtype"] != dt.str:
@@ -468,15 +461,16 @@ def open_store(
                 f"{path}: array {field_name!r} violates the dtype contract "
                 f"({spec and spec['dtype']} != {dt.str})"
             )
-        lo = data_start + int(spec["offset"])
+        offset = int(spec["offset"])
         nbytes = int(spec["size"]) * dt.itemsize
-        if lo + nbytes > size:
-            raise StoreIntegrityError(f"{path}: array {field_name!r} truncated")
+        if offset < 0 or nbytes < 0 or offset + nbytes > payload:
+            raise StoreIntegrityError(f"{path}: array {field_name!r} out of bounds")
+        lo = data_start + offset
         views[field_name] = mm[lo : lo + nbytes].view(dt)
 
     edges: Any
     lookup: Optional[EdgeLookup] = None
-    if header.get("edges_mode") == "packed":
+    if packed:
         uv = views["edge_uv"].reshape(-1, 2)
         edges = PackedEdges(uv)
         lookup = EdgeLookup(
@@ -486,7 +480,7 @@ def open_store(
             flips=views["lookup_flips"],
         )
     else:
-        edges = _decode_edges(header.get("edges", ()))
+        edges = tuple(_decode_vertex(e) for e in header["edges"])
 
     csr = PathCSR(
         host_n=int(header["host_n"]),
@@ -499,16 +493,13 @@ def open_store(
     )
     info = StoreInfo(
         path=str(path),
-        spec_key=header.get("spec_key", ""),
-        kind=header.get("kind", ""),
+        spec_key=str(header["spec_key"]),
+        kind=str(header["kind"]),
         nbytes=payload,
-        sha256=header.get("sha256", ""),
-        blob_bytes=int(header.get("blob_bytes", 0)),
+        sha256=str(header["sha256"]),
+        blob_bytes=int(header["blob_bytes"]),
         num_bundles=csr.num_bundles,
         num_paths=csr.num_paths,
-        edges_mode=header.get("edges_mode", "json"),
+        edges_mode=header["edges_mode"],
     )
-    view = StoreView(path, header, csr, info, mm)
-    if mode == "eager" or (mode == "auto" and payload <= EAGER_VERIFY_LIMIT):
-        view.verify_payload()
-    return view
+    return StoreView(path, header, csr, info, mm)

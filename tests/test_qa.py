@@ -117,6 +117,57 @@ class TestOracleRegistry:
                 assert check.passed, (kind, check.name, check.detail)
 
 
+class TestCutFloorReferee:
+    def test_registered_for_every_embedding_kind(self):
+        from repro.qa.oracles import EMBEDDING_KINDS, cut_floor_oracle
+
+        assert set(EMBEDDING_KINDS) == {
+            k for k in default_space().kinds() if not k.startswith("scenario:")
+        }
+        for kind in EMBEDDING_KINDS:
+            assert cut_floor_oracle in oracles_for(kind), kind
+
+    def test_floor_by_hand(self):
+        from types import SimpleNamespace
+
+        import numpy as np
+
+        from repro.qa.oracles import cut_floor
+
+        # Q_2 paths 0->1, 2->3, 0->1, 0->2->3: four cross bit 0 upward
+        # over its 2 upward links, so some link carries at least 2
+        csr = SimpleNamespace(
+            host_n=2,
+            nodes=np.array([0, 1, 2, 3, 0, 1, 0, 2, 3]),
+            path_offsets=np.array([0, 2, 4, 6, 9]),
+        )
+        assert cut_floor(csr) == 2
+
+    def test_under_reporting_verifier_is_caught(self, monkeypatch):
+        # the fast and reference verifiers share the bug, so their
+        # differential agrees; only the cut floor can see it
+        import repro.core.fast_verify as fv
+
+        def halved(verify):
+            def wrapper(*args, **kwargs):
+                report = verify(*args, **kwargs)
+                if "congestion" in report.metrics:
+                    report.metrics["congestion"] //= 2
+                return report
+            return wrapper
+
+        monkeypatch.setattr(fv, "verify_multipath", halved(fv.verify_multipath))
+        monkeypatch.setattr(
+            fv, "reference_verify_multipath", halved(fv.reference_verify_multipath)
+        )
+        report = Fuzzer(seed=1, images=1).run(seeds=3, kinds=["cycle"])
+        assert not report.ok
+        assert report.failures
+        for failure in report.failures:
+            assert failure.stage == "oracle"
+            assert failure.detail.startswith("cut-floor")
+
+
 class TestMetamorphic:
     @pytest.mark.parametrize("kind,params", SMALL_POINTS)
     def test_eight_images_per_kind(self, kind, params):

@@ -29,6 +29,24 @@ def cycle_spec(n=6):
     return EmbeddingSpec.make("cycle", n=n)
 
 
+def _count_verifies(monkeypatch):
+    """Count every ``verify`` call on the three embedding classes."""
+    from repro.core.embedding import (
+        Embedding,
+        MultiCopyEmbedding,
+        MultiPathEmbedding,
+    )
+
+    calls = {"verify": 0}
+    for cls in (Embedding, MultiPathEmbedding, MultiCopyEmbedding):
+        def counted(self, *args, _orig=cls.verify, **kwargs):
+            calls["verify"] += 1
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "verify", counted)
+    return calls
+
+
 class TestSpecs:
     def test_key_is_deterministic(self):
         assert cycle_spec().cache_key() == cycle_spec().cache_key()
@@ -86,6 +104,39 @@ class TestRegistry:
         assert reg.get(spec) is emb  # identical object from the LRU tier
         assert reg.metrics.count("memory_hits") == 1
         assert reg.metrics.count("builds") == 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            cycle_spec(6),
+            EmbeddingSpec.make("cycle2", n=6),
+            # side 16 gives 4-bit axes, which take the Theorem 1 multipath
+            EmbeddingSpec.make("grid", dims=(16, 16)),
+        ],
+        ids=["cycle", "cycle2", "grid-theorem1-axes"],
+    )
+    def test_get_or_build_verifies_once(self, tmp_path, monkeypatch, spec):
+        calls = _count_verifies(monkeypatch)
+        EmbeddingRegistry(cache_dir=tmp_path).get_or_build(spec)
+        assert calls["verify"] == 1
+
+    def test_corrupted_build_still_raises_and_counts(self, tmp_path, monkeypatch):
+        import repro.service.registry as registry_mod
+
+        def corrupted(spec):
+            emb = build_spec(spec)
+            edge, bundle = next(iter(emb.edge_paths.items()))
+            emb.edge_paths[edge] = bundle + (bundle[0],)  # reuses host edges
+            return emb
+
+        calls = _count_verifies(monkeypatch)
+        monkeypatch.setattr(registry_mod, "build_spec", corrupted)
+        reg = EmbeddingRegistry(cache_dir=tmp_path)
+        with pytest.raises(AssertionError, match="reuses directed host edge"):
+            reg.get_or_build(cycle_spec())
+        assert calls["verify"] == 1
+        assert reg.metrics.count("verify_failures") == 1
+        assert not reg.path_for(cycle_spec()).exists()
 
     def test_disk_tier_across_instances(self, tmp_path):
         EmbeddingRegistry(cache_dir=tmp_path).get_or_build(cycle_spec())

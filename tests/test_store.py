@@ -223,6 +223,36 @@ class TestIntegrity:
         with pytest.raises(ValueError):
             open_store(path)
 
+    def test_header_layout_tamper_is_caught(self, tmp_path):
+        # a same-length edit of an array offset re-points the nodes array;
+        # the payload digest never covers the array table, the header
+        # digest does
+        csr = _csr()
+        path, _ = _write(tmp_path, csr)
+        size = csr.nodes.size
+        raw = path.read_bytes()
+        good = b'"name":"nodes","dtype":"<i8","size":%d,"offset":0}' % size
+        assert raw.count(good) == 1
+        path.write_bytes(raw.replace(good, good.replace(b":0}", b":8}")))
+        with pytest.raises(StoreIntegrityError):
+            open_store(path, payload_verify="eager")
+
+    def test_malformed_value_under_a_valid_digest_is_integrity_error(self, tmp_path):
+        import hashlib
+        import struct
+
+        path, _ = _write(tmp_path, _csr())
+        prefix = struct.Struct("<8sQ32s")
+        raw = path.read_bytes()
+        magic, head_len, _ = prefix.unpack(raw[: prefix.size])
+        head = raw[prefix.size : prefix.size + head_len]
+        bad = head.replace(b'"host_n":6', b'"host_n":[]', 1)
+        assert bad != head
+        signed = prefix.pack(magic, len(bad), hashlib.sha256(bad).digest())
+        path.write_bytes(signed + bad + raw[prefix.size + len(bad) :])
+        with pytest.raises(StoreIntegrityError, match="malformed header"):
+            open_store(path)
+
     def test_missing_file_raises_oserror_not_integrity(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             open_store(tmp_path / "absent.rpstore")
@@ -323,6 +353,20 @@ class TestRegistryTiers:
         assert reg.path_for(spec).exists()
         fresh = EmbeddingRegistry(cache_dir=tmp_path)
         assert fresh.get_store(spec) is not None
+
+    def test_shard_for_writes_the_store_of_a_legacy_artifact(self, tmp_path):
+        from repro.service.api import RoutingService
+
+        spec = _spec()
+        emb = build_spec(spec)
+        emb.verify()
+        reg = EmbeddingRegistry(cache_dir=tmp_path)
+        reg.legacy_path_for(spec).write_text(make_artifact(spec, emb))
+        svc = RoutingService(registry=reg)
+        shard = svc.shard_for(spec)  # no rebuild: the JSON tier serves
+        assert reg.metrics.count("builds") == 0
+        assert shard.info.path == str(reg.path_for(spec))
+        svc.close()
 
     def test_migrate_keeps_unreadable_artifacts(self, tmp_path):
         reg = EmbeddingRegistry(cache_dir=tmp_path)
@@ -459,16 +503,69 @@ class TestFileBackedServing:
             want.paths(i) for i in range(2)
         ]
         shard = cold.shard_for(spec)
-        assert shard.info.backend == "file"  # no rebuild, no shm copy
-        assert shard.info.name.endswith(".rpstore")
+        assert shard.info.path == str(cold.registry.path_for(spec))
         assert cold.metrics.count("builds") == 0
         cold.close()
+
+    def test_malformed_header_is_corrupt_and_rebuilt(self, tmp_path):
+        from repro.service.api import RoutingService, disjoint_paths
+
+        spec = _spec(10)  # a two-digit host_n allows a same-length edit
+        reg = EmbeddingRegistry(cache_dir=tmp_path)
+        emb = reg.get_or_build(spec)
+        path = reg.path_for(spec)
+        raw = path.read_bytes()
+        assert raw.count(b'"host_n":10,') == 1
+        path.write_bytes(raw.replace(b'"host_n":10,', b'"host_n":"",'))
+
+        svc = RoutingService(registry=EmbeddingRegistry(cache_dir=tmp_path))
+        got = svc.route_batch(spec, [(0, 1), (5, 4)])
+        assert [got.paths(i) for i in range(2)] == [
+            disjoint_paths(emb, (0, 1)), disjoint_paths(emb, (5, 4))
+        ]
+        assert svc.metrics.count("disk_corrupt") == 1
+        assert svc.metrics.count("builds") == 1
+        svc.close()
+
+    def test_first_batch_on_empty_cache_builds_verifies_and_exports_once(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.service.api as api_mod
+        import repro.service.registry as registry_mod
+        from repro.core.embedding import MultiPathEmbedding
+        from repro.service.api import RoutingService
+
+        calls = {"build": 0, "verify": 0, "csr": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(registry_mod, "build_spec", counting("build", build_spec))
+        # every module that can export a CSR on this path, imported by name
+        for mod in (registry_mod, api_mod):
+            monkeypatch.setattr(
+                mod, "embedding_csr", counting("csr", embedding_csr), raising=False
+            )
+        monkeypatch.setattr(
+            MultiPathEmbedding, "verify",
+            counting("verify", MultiPathEmbedding.verify),
+        )
+        spec = _spec(8)
+        svc = RoutingService(registry=EmbeddingRegistry(cache_dir=tmp_path))
+        svc.route_batch(spec, [(0, 1)])
+        assert calls == {"build": 1, "verify": 1, "csr": 1}
+        shard = svc.shard_for(spec)
+        assert shard.info.path == str(svc.registry.path_for(spec))
+        svc.close()
 
     def test_attach_shard_by_store_path(self, tmp_path):
         csr = _csr()
         path, _ = _write(tmp_path, csr, spec_key="w" * 64)
         view = attach_shard(str(path))
-        assert view.info.backend == "file"
+        assert view.info.path == str(path)
         assert view.info.spec_key == "w" * 64
         batch = list(csr.edges[:4])
         got = view.csr.take(batch)
