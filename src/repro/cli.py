@@ -11,7 +11,7 @@ Usage examples::
     python -m repro embed tree --m 2
     python -m repro compare --n 6
     python -m repro broadcast --n 6 --packets 512
-    python -m repro faults --n 8 --prob 0.05
+    python -m repro faults --n 8 --kill-links 4
     python -m repro scenarios ls                      # traffic generators
     python -m repro scenarios run bit-reversal --n 8 --load 0.5
     python -m repro scenarios campaign --n 8 --kill-links 4
@@ -137,11 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault campaign: single-path vs IDA failover under link kills",
     )
     _add_campaign_args(flt)
-    flt.add_argument(
-        "--prob", type=float, default=None,
-        help="legacy alias: fail each link with this probability "
-        "(overrides --kill-links/--kill-nodes)",
-    )
 
     scn = sub.add_parser(
         "scenarios", help="adversarial traffic scenarios and fault campaigns"
@@ -389,17 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="domain-aware static analysis (RNG discipline, deprecations, "
+        help="domain-aware static analysis (RNG discipline, "
         "construction contract, simulator protocol, determinism, races, "
         "index-domain dataflow, dtype overflow, kernel-parity coverage)",
     )
     lint.add_argument(
         "paths", nargs="*", default=None,
         help="files or directories to lint (default: the repro package)",
-    )
-    lint.add_argument(
-        "--fix", action="store_true",
-        help="apply mechanical fixes (deprecated-import rewrites) in place",
     )
     lint.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
@@ -523,10 +514,9 @@ def _campaign_config(args, scenario: str):
     kill_step = (
         None if str(args.kill_step) == "auto" else int(args.kill_step)
     )
-    prob = getattr(args, "prob", None)
-    if prob is None and args.kill_links == 0 and args.kill_nodes == 0:
-        # the historical `repro faults` default workload
-        prob = 0.05
+    # with no kill flags, fail each link with probability 0.05 (the
+    # historical `repro faults` default workload)
+    prob = 0.05 if args.kill_links == 0 and args.kill_nodes == 0 else None
     return CampaignConfig(
         n=args.n,
         scenario=scenario,
@@ -1205,7 +1195,7 @@ def _cmd_lint(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.lint import LintConfig, all_rules, apply_fixes, run_lint
+    from repro.lint import LintConfig, all_rules, run_lint
 
     if args.list_rules:
         for rule in all_rules():
@@ -1222,11 +1212,6 @@ def _cmd_lint(args) -> int:
         if focus is None and args.format == "text":
             print("--changed: not a git checkout, linting everything")
     report = run_lint(paths, LintConfig(select=select), focus=focus)
-
-    if args.fix:
-        applied, report = apply_fixes(report)
-        if applied and args.format == "text":
-            print(f"applied {applied} fix(es)")
 
     if args.format == "json":
         rendered = json.dumps(report.to_dict(), indent=2, sort_keys=True)

@@ -10,7 +10,6 @@ repo-specific invariants as AST passes over a pluggable rule registry:
 rule      name                   waiver pragma
 ========  =====================  ==========================================
 R1        rng-discipline         ``# lint: rng-ok(reason)``
-R2        deprecation            ``# lint: deprecated-ok(reason)``
 R3        construction-contract  ``# lint: no-oracle(reason)``
 R4        simulator-protocol     ``# lint: protocol-exempt(reason)``
 R5        determinism            ``# lint: nondet-ok(reason)``
@@ -25,9 +24,10 @@ lattice in :mod:`repro.lint.domains` (NodeId, LinkId, LaneLinkId,
 PackedEdgeKey, CsrOffset, ByteOffset, FlitPos) — see
 ``docs/architecture.md`` for the lattice and its pack/unpack algebra.
 R9 makes the fast-kernel/QA-differential pairing structural the same way
-R3 ties builders to oracles.
+R3 ties builders to oracles.  R2 (call sites of deprecated APIs) was
+retired together with those APIs; its id is not reused.
 
-Run via ``repro lint [--fix] [--format json|text|sarif] [--changed
+Run via ``repro lint [--format json|text|sarif] [--changed
 [BASE]] [--output FILE] [paths]``, or programmatically::
 
     from repro.lint import run_lint
@@ -41,7 +41,6 @@ from repro.lint.engine import (
     LintModule,
     Rule,
     all_rules,
-    apply_fixes,
     discover_files,
     parse_module,
     register_rule,
@@ -58,7 +57,6 @@ __all__ = [
     "KNOWN_PRAGMAS",
     "LINT_OUTPUT_VERSION",
     "all_rules",
-    "apply_fixes",
     "discover_files",
     "parse_module",
     "register_rule",

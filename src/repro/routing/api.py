@@ -1,22 +1,22 @@
 """The unified simulator API: one protocol, one schedule shape, one result.
 
-Every packet-level engine in this package — the reference FIFO
+Every schedule engine in this package — the reference FIFO
 :class:`~repro.routing.simulator.StoreForwardSimulator`, the vectorized
-:class:`~repro.routing.fast_simulator.FastStoreForward`, and (for flit
-traffic) :class:`~repro.routing.wormhole.WormholeSimulator` — accepts the
-same call::
+:class:`~repro.routing.fast_simulator.FastStoreForward`, and the batched
+:class:`~repro.routing.batched.BatchedStoreForward` and
+:class:`~repro.routing.batched.BatchedWormhole` — accepts the same call::
 
     result = sim.run(schedule, max_steps=..., recorder=...)
 
-where ``schedule`` is any iterable of packet descriptions (see
-:func:`normalize_schedule`), ``recorder`` is an optional
-:class:`repro.obs.recorder.LinkRecorder`-shaped sink, and the return is a
-:class:`SimResult` with identical fields across engines, so measurement
-code can swap engines freely (``isinstance(sim, Simulator)`` checks
-conformance at runtime).
-
-The pre-obs mutate-then-run style (``sim.inject(path); sim.run() -> int``)
-still works but emits :class:`repro._compat.ReproDeprecationWarning`.
+where ``schedule`` (required) is any iterable of packet descriptions (see
+:func:`normalize_schedule`; worm triples for the batched wormhole),
+``recorder`` is an optional :class:`repro.obs.recorder.LinkRecorder`-shaped
+sink, and the return is a :class:`SimResult` with identical fields across
+engines, so measurement code can swap engines freely
+(``isinstance(sim, Simulator)`` checks conformance at runtime).  The
+flit-level :class:`~repro.routing.wormhole.WormholeSimulator` and
+:class:`~repro.routing.fast_wormhole.FastWormhole` keep their own
+``inject(path, num_flits)`` / ``run() -> int`` surface.
 """
 
 from __future__ import annotations
@@ -138,9 +138,9 @@ class Simulator(Protocol):
 
     def run(
         self,
-        schedule: Optional[Iterable[ScheduleItem]] = None,
+        schedule: Iterable[ScheduleItem],
         *,
         max_steps: int = 10_000_000,
         recorder: Optional[Any] = None,
-    ) -> Any:  # SimResult for schedule runs; legacy int for the shim path
+    ) -> SimResult:
         ...

@@ -21,19 +21,17 @@ numpy array and bulk-dumps it after the run; with ``recorder=None`` the
 only cost is a single ``is None`` test per step (the <5% disabled-overhead
 budget in ISSUE.md).
 
-Implements the unified :class:`repro.routing.api.Simulator` protocol; the
-pre-obs ``inject(...); run() -> int`` style works behind a deprecation
-shim.  Unit service time only — atomic M-packet messages need the
-reference engine.
+Implements the unified :class:`repro.routing.api.Simulator` protocol.
+Unit service time only — atomic M-packet messages need the reference
+engine.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro._compat import warn_deprecated
 from repro.hypercube.graph import Hypercube
 from repro.hypercube.pathcode import path_edge_matrix
 from repro.obs.profile import profile_span
@@ -49,31 +47,19 @@ class FastStoreForward:
 
     def __init__(self, host: Hypercube):
         self.host = host
-        self._paths: List[Sequence[int]] = []
-        self._releases: List[int] = []
-
-    def inject(self, path: Sequence[int], release_step: int = 1) -> None:
-        """Queue one unit packet along ``path``.
-
-        .. deprecated:: pass a schedule to :meth:`run` instead.
-        """
-        if len(path) < 1:
-            raise ValueError("packet path must contain at least one node")
-        self._paths.append(tuple(path))
-        self._releases.append(release_step)
 
     def run(
         self,
-        schedule: Optional[Union[int, Iterable[ScheduleItem]]] = None,
+        schedule: Iterable[ScheduleItem],
         *,
         max_steps: int = 10_000_000,
         recorder: Optional[Any] = None,
         faults: Optional[Any] = None,
-    ):
+    ) -> SimResult:
         """Run a packet schedule to completion.
 
-        With a ``schedule``, returns a :class:`repro.routing.api.SimResult`
-        and (when ``recorder`` is given) bulk-records per-link transmission
+        Returns a :class:`repro.routing.api.SimResult` and (when
+        ``recorder`` is given) bulk-records per-link transmission
         counts and per-packet delivery steps.  Schedules with
         ``service_time != 1`` raise ``ValueError`` — use the reference
         :class:`~repro.routing.simulator.StoreForwardSimulator` for atomic
@@ -84,25 +70,7 @@ class FastStoreForward:
         fail-stop semantics as the reference engine, field-for-field
         (dropped packets record ``done_steps`` of ``-1`` and are excluded
         from ``delivered``).
-
-        Calling with no schedule (or a bare int ``max_steps``) runs packets
-        previously added via :meth:`inject` and returns the last arrival
-        step as an int — the deprecated pre-obs signature.
         """
-        if schedule is None or isinstance(schedule, int):
-            warn_deprecated(
-                "FastStoreForward.inject()/run() -> int is deprecated; "
-                "pass a schedule to run() and read SimResult.makespan"
-            )
-            if isinstance(schedule, int):
-                max_steps = schedule
-            paths, releases = self._paths, self._releases
-            self._paths, self._releases = [], []
-            done_step, steps = self._run_arrays(
-                paths, releases, max_steps, recorder, faults
-            )
-            return max(0, int(done_step.max())) if done_step.size else 0
-
         requests = normalize_schedule(schedule)
         if any(r.service_time != 1 for r in requests):
             raise ValueError(

@@ -13,13 +13,8 @@ One object answers the service questions:
   — thin single-item wrappers over the batch path; the latter adds
   IDA-dispersed delivery that fails over to the surviving path subset
   under a :class:`repro.fault.faults.FaultModel`, exactly the Section 1
-  application.
-
-The pre-batch positional forms — ``route(spec, (u, v))`` returning a bare
-path tuple, ``route_fault_tolerant(spec, (u, v), message, faults=...)``,
-and the ``FaultSet`` alias — still work behind
-:class:`~repro._compat.ReproDeprecationWarning` shims; CI's ``-W error``
-job keeps package code off them.
+  application.  Its message, faults and reconstruction threshold ride on
+  the :class:`RouteRequest`.
 
 Everything is observable via :meth:`RoutingService.stats`.
 """
@@ -29,9 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro._compat import warn_deprecated
 from repro.core.embedding import MultiCopyEmbedding, MultiPathEmbedding
-from repro.fault.faults import FaultModel
 from repro.fault.ida import disperse, reconstruct
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import profile_span
@@ -48,16 +41,6 @@ from repro.service.specs import (
 __all__ = ["RoutingService", "DeliveryOutcome", "disjoint_paths"]
 
 _DEFAULT_MESSAGE = b"routing multiple paths in hypercubes"
-
-
-def __getattr__(name: str) -> Any:
-    if name == "FaultSet":
-        warn_deprecated(
-            "repro.service.FaultSet is deprecated; use "
-            "repro.fault.faults.FaultModel (it is the same class)"
-        )
-        return FaultModel
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -204,7 +187,7 @@ class RoutingService:
 
         ``requests`` may mix :class:`RouteRequest` objects and bare
         ``(u, v)`` guest edges (a bare edge is just a request with default
-        delivery knobs — no deprecation involved).  The answer stays in
+        delivery knobs).  The answer stays in
         flat CSR arrays; index the returned :class:`BatchRouteResult` to
         materialize per-request paths, which are field-identical to what
         per-call :meth:`route` returns for the same edge.
@@ -226,30 +209,18 @@ class RoutingService:
         self,
         spec: EmbeddingSpec,
         request: Union[RouteRequest, Tuple[Any, Any]],
-    ):
+    ) -> RouteResponse:
         """Single-request wrapper over :meth:`route_batch`.
 
-        Pass a :class:`RouteRequest` and get a :class:`RouteResponse`.
-        The pre-redesign form — a bare guest-edge tuple in, a bare tuple
-        of paths out — still works behind a deprecation warning.
+        ``request`` is a :class:`RouteRequest` or a bare ``(u, v)`` guest
+        edge, exactly as one item of :meth:`route_batch`; the answer is
+        that item's :class:`RouteResponse`.
         """
-        if not isinstance(request, RouteRequest):
-            warn_deprecated(
-                "route(spec, (u, v)) returning a bare path tuple is "
-                "deprecated; pass RouteRequest((u, v)) and read .paths off "
-                "the RouteResponse (or use route_batch for many edges)"
-            )
-            return self.route_batch(spec, [RouteRequest(request)]).paths(0)
         with self.metrics.time("route"):
             return self.route_batch(spec, [request])[0]
 
     def route_fault_tolerant(
-        self,
-        spec: EmbeddingSpec,
-        request: Union[RouteRequest, Tuple[Any, Any]],
-        message: Optional[bytes] = None,
-        faults: Optional[FaultModel] = None,
-        pieces_needed: Optional[int] = None,
+        self, spec: EmbeddingSpec, request: RouteRequest
     ) -> DeliveryOutcome:
         """Deliver a message across the disjoint paths despite faults.
 
@@ -260,21 +231,9 @@ class RoutingService:
         survives up to ``w - 1`` failures — raise it to trade bandwidth
         for tolerance, per the paper's Section 1 trade-off.
 
-        Delivery parameters ride on the :class:`RouteRequest`; the old
-        positional/keyword form is shimmed with a deprecation warning.
+        The message, the :class:`~repro.fault.faults.FaultModel` and
+        ``pieces_needed`` all ride on the :class:`RouteRequest`.
         """
-        if not isinstance(request, RouteRequest):
-            warn_deprecated(
-                "route_fault_tolerant(spec, (u, v), message, faults=...) is "
-                "deprecated; put message/faults/pieces_needed on a "
-                "RouteRequest"
-            )
-            request = RouteRequest(
-                request,
-                message=message,
-                faults=faults,
-                pieces_needed=pieces_needed,
-            )
         payload = request.message if request.message is not None else _DEFAULT_MESSAGE
         response: RouteResponse = self.route_batch(spec, [request])[0]
         paths = response.paths

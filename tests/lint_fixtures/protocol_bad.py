@@ -28,5 +28,14 @@ class NoResultEngine:
 
     engine = "resultless"
 
-    def run(self, schedule=None, *, max_steps=1000, recorder=None):
+    def run(self, schedule, *, max_steps=1000, recorder=None):
         return 42
+
+
+class OptionalScheduleEngine:
+    """A defaulted schedule invites a schedule-less run()."""
+
+    engine = "optional-schedule"
+
+    def run(self, schedule=None, *, max_steps=1000, recorder=None):
+        return SimResult()

@@ -59,7 +59,7 @@ class TestCommands:
         assert "binomial" in capsys.readouterr().out
 
     def test_faults(self, capsys):
-        assert main(["faults", "--n", "6", "--prob", "0.02"]) == 0
+        assert main(["faults", "--n", "6", "--kill-links", "3"]) == 0
         assert "delivered" in capsys.readouterr().out
 
 

@@ -313,6 +313,22 @@ class TestRoutingService:
         rev = svc.route(spec, RouteRequest((1, 0))).paths
         assert rev == tuple(tuple(reversed(p)) for p in fwd)
 
+    def test_route_takes_a_bare_edge_like_route_batch(self, tmp_path):
+        # one call form: a bare edge is a request, the answer a response
+        svc = self._service(tmp_path)
+        spec = cycle_spec(6)
+        bare = svc.route(spec, (0, 1))
+        assert isinstance(bare, RouteResponse)
+        assert bare == svc.route(spec, RouteRequest((0, 1)))
+        assert bare == svc.route_batch(spec, [(0, 1)])[0]
+
+    def test_fault_tolerant_takes_only_a_request(self, tmp_path):
+        # message/faults/pieces_needed ride on the RouteRequest only
+        with pytest.raises(TypeError):
+            self._service(tmp_path).route_fault_tolerant(
+                cycle_spec(6), (0, 1), b"x"
+            )
+
     def test_route_unknown_edge_raises(self, tmp_path):
         with pytest.raises(KeyError):
             self._service(tmp_path).route(cycle_spec(6), RouteRequest((0, 5)))
@@ -491,8 +507,7 @@ class TestBatchRouting:
 
 
 class TestMetrics:
-    # the service layer now measures through repro.obs.MetricsRegistry;
-    # the ServiceMetrics shim itself is covered in test_deprecation_shims
+    # the service layer measures through repro.obs.MetricsRegistry
     def test_counters_and_timers(self):
         m = MetricsRegistry()
         m.incr("hits")

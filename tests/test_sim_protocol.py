@@ -5,10 +5,12 @@ import pytest
 from repro.hypercube.graph import Hypercube
 from repro.obs import LinkRecorder
 from repro.routing.api import SimRequest, SimResult, Simulator, normalize_schedule
+from repro.routing.batched import BatchedStoreForward, BatchedWormhole
 from repro.routing.fast_simulator import FastStoreForward
 from repro.routing.simulator import StoreForwardSimulator
 
 ENGINES = [StoreForwardSimulator, FastStoreForward]
+SCHEDULE_ENGINES = ENGINES + [BatchedStoreForward, BatchedWormhole]
 
 
 class TestNormalizeSchedule:
@@ -49,6 +51,18 @@ class TestProtocolConformance:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_isinstance_simulator(self, engine):
         assert isinstance(engine(Hypercube(3)), Simulator)
+
+    @pytest.mark.parametrize(
+        "engine", SCHEDULE_ENGINES, ids=lambda e: e.__name__
+    )
+    def test_run_requires_a_schedule(self, engine):
+        # one call form: no hidden packet queue, so no schedule-less run
+        sim = engine(Hypercube(3))
+        with pytest.raises(TypeError):
+            sim.run()
+        with pytest.raises(TypeError):
+            sim.run(None)
+        assert not hasattr(sim, "inject")
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_schedule_run_returns_simresult(self, engine):
